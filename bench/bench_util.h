@@ -41,7 +41,7 @@ inline std::string CellLabel(const RunOutcome& outcome, const std::string& field
   return outcome.run.label;
 }
 
-// Baseline configuration for the 8-DC testbed experiments (Fig. 1/5/6/9/10/11).
+// Baseline configuration for the 8-DC testbed experiments (Fig. 1/5/9/10/11).
 inline ExperimentConfig Testbed8Config() {
   ExperimentConfig c;
   c.topo = TopologyKind::kTestbed8;

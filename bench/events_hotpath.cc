@@ -1,18 +1,14 @@
-// Event hot-path microbenchmark: InlineEvent vs the seed std::function loop.
+// Event hot-path microbenchmark: the cost of dormant observability hooks.
 //
 // Reproduces the simulator's steady state — a fixed population of in-flight
 // "packets", each delivery scheduling the next hop with a closure that
-// captures the Packet by value — against two queues with identical heap
-// algorithms and (time, seq) FIFO tie-break:
-//   * fn_queue:     EventFn = std::function<void()>  (the seed implementation;
-//                   a ~80 B capture exceeds the 16 B libstdc++ SBO, so every
-//                   event heap-allocates)
-//   * inline_queue: the production EventQueue over InlineEvent (capture lives
-//                   in the queue entry; steady state allocates nothing)
+// captures the Packet by value — on the production EventQueue, once plain
+// and once with the per-packet obs calls compiled in. Also checks that the
+// IRN SeqWindow packet path never allocates.
 //
 // Reports events/sec and allocations/event (measured with a real operator
 // new/delete override, cross-checked against InlineEvent's inline/heap
-// counters) and emits JSON for the BENCH_*.json trajectory:
+// counters) and emits JSON:
 //   --json=PATH or LCMP_BENCH_JSON=PATH writes the JSON file (next to the
 //   other bench outputs); otherwise the JSON goes to stdout.
 #include <atomic>
@@ -20,16 +16,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <functional>
 #include <new>
-#include <set>
 #include <string>
 #include <thread>
-#include <utility>
 #include <vector>
 
 #include "obs/metrics.h"
-#include "obs/profile.h"
 #include "obs/shard_context.h"
 #include "obs/trace.h"
 #include "sim/event_queue.h"
@@ -58,105 +50,17 @@ void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 namespace lcmp {
 namespace {
 
-// The seed event queue: same hole-based binary heap and FIFO tie-break as
-// sim/event_queue.cc, but storing std::function<void()> like the original
-// implementation did.
-class FnEventQueue {
- public:
-  using Fn = std::function<void()>;
-
-  uint64_t Push(TimeNs time, Fn fn) {
-    const uint64_t seq = next_seq_++;
-    heap_.push_back(Entry{time, seq, std::move(fn)});
-    SiftUp(heap_.size() - 1);
-    return seq;
-  }
-
-  Fn Pop(TimeNs* time) {
-    Entry& top = heap_.front();
-    *time = top.time;
-    Fn fn = std::move(top.fn);
-    Entry last = std::move(heap_.back());
-    heap_.pop_back();
-    if (!heap_.empty()) {
-      heap_.front() = std::move(last);
-      SiftDown(0);
-    }
-    return fn;
-  }
-
-  bool empty() const { return heap_.empty(); }
-
- private:
-  struct Entry {
-    TimeNs time;
-    uint64_t seq;
-    Fn fn;
-  };
-  static bool Less(const Entry& a, const Entry& b) {
-    return a.time < b.time || (a.time == b.time && a.seq < b.seq);
-  }
-  void SiftUp(size_t i) {
-    Entry moving = std::move(heap_[i]);
-    while (i > 0) {
-      const size_t parent = (i - 1) / 2;
-      if (!Less(moving, heap_[parent])) {
-        break;
-      }
-      heap_[i] = std::move(heap_[parent]);
-      i = parent;
-    }
-    heap_[i] = std::move(moving);
-  }
-  void SiftDown(size_t i) {
-    Entry moving = std::move(heap_[i]);
-    const size_t n = heap_.size();
-    while (true) {
-      size_t best = 2 * i + 1;
-      if (best >= n) {
-        break;
-      }
-      if (best + 1 < n && Less(heap_[best + 1], heap_[best])) {
-        ++best;
-      }
-      if (!Less(heap_[best], moving)) {
-        break;
-      }
-      heap_[i] = std::move(heap_[best]);
-      i = best;
-    }
-    heap_[i] = std::move(moving);
-  }
-
-  std::vector<Entry> heap_;
-  uint64_t next_seq_ = 0;
-};
-
 struct RunResult {
   double events_per_sec = 0;
   double allocs_per_event = 0;
   uint64_t checksum = 0;  // keeps the closures from being optimized away
 };
 
-// Replica of the pre-refactor Packet: the INT telemetry stack rode along in
-// every packet (and thus in every scheduled closure), which is what pushed
-// the seed's per-event captures to ~500 B and onto the heap. The reference
-// loop schedules this so the baseline reproduces the seed implementation's
-// cost honestly.
-struct SeedPacket {
-  Packet slim;
-  bool int_enabled = false;
-  uint8_t int_hops = 0;
-  std::array<IntRecord, kMaxIntHops> int_rec{};
-};
-static_assert(sizeof(SeedPacket) > 400, "seed replica should match the old fat Packet");
-
 // Shared loop state lives behind one pointer so the per-event closure is
 // "context pointer + Packet by value" — the simulator's link-delivery shape
 // and size (and small enough for the inline buffer).
-template <typename Queue>
 struct HopContext {
-  Queue* q = nullptr;
+  EventQueue* q = nullptr;
   uint64_t processed = 0;
   uint64_t checksum = 0;
   uint64_t rng = 0x9e3779b97f4a7c15ull;  // deterministic LCG hop delays
@@ -174,40 +78,35 @@ struct HopContext {
   }
 };
 
-// One self-propagating closure per in-flight packet. PacketT is the slim
-// Packet for the InlineEvent queue and SeedPacket for the reference queue.
-// kInstrumented adds the production per-packet observability calls (two
-// counter updates + one flight-recorder trace) so the bench measures their
-// cost directly: with obs off each call is one predictable branch, which is
-// exactly what the <2% regression gate guards.
-template <typename Queue, typename PacketT, bool kInstrumented = false>
+// One self-propagating closure per in-flight packet. kInstrumented adds the
+// production per-packet observability calls (two counter updates + one
+// flight-recorder trace) so the bench measures their cost directly: with obs
+// off each call is one predictable branch, which is exactly what the <2%
+// regression gate guards.
+template <bool kInstrumented = false>
 struct Hop {
-  HopContext<Queue>* ctx;
-  PacketT pkt;
+  HopContext* ctx;
+  Packet pkt;
   void operator()() {
-    uint32_t& seq = SeqOf(pkt);
     ++ctx->processed;
-    ctx->checksum += seq + static_cast<uint64_t>(SizeOf(pkt));
+    ctx->checksum += pkt.seq + static_cast<uint64_t>(pkt.size_bytes);
     if constexpr (kInstrumented) {
       ctx->c_events->Inc();
-      ctx->c_bytes->Add(SizeOf(pkt));
-      LCMP_TRACE(obs::TraceEv::kEnqueue, ctx->now, seq, /*node=*/0, /*port=*/0, SizeOf(pkt));
+      ctx->c_bytes->Add(pkt.size_bytes);
+      LCMP_TRACE(obs::TraceEv::kEnqueue, ctx->now, pkt.seq, /*node=*/0, /*port=*/0,
+                 pkt.size_bytes);
     }
     if (ctx->processed >= ctx->total) {
       return;
     }
-    ++seq;
+    ++pkt.seq;
     ctx->q->Push(ctx->now + ctx->NextDelay(), Hop{*this});
   }
-  static Packet& SlimOf(Packet& p) { return p; }
-  static Packet& SlimOf(SeedPacket& p) { return p.slim; }
-  static uint32_t& SeqOf(PacketT& p) { return SlimOf(p).seq; }
-  static uint32_t SizeOf(PacketT& p) { return SlimOf(p).size_bytes; }
 };
 
-static_assert(InlineEvent::kFitsInline<Hop<EventQueue, Packet>>,
+static_assert(InlineEvent::kFitsInline<Hop<>>,
               "benchmark hop closure must exercise the inline path");
-static_assert(InlineEvent::kFitsInline<Hop<EventQueue, Packet, true>>,
+static_assert(InlineEvent::kFitsInline<Hop<true>>,
               "instrumentation must not grow the hop closure");
 
 // Steady-state hop loop: `population` packets in flight, `total_events`
@@ -215,9 +114,9 @@ static_assert(InlineEvent::kFitsInline<Hop<EventQueue, Packet, true>>,
 // installs a shard obs context for the loop, the way Simulator::RunWindow
 // does on a PDES worker, so instrumented calls exercise the per-lane
 // counter/ring paths instead of lane 0.
-template <typename PacketT, bool kInstrumented = false, typename Queue>
-RunResult RunHopLoop(Queue& q, int population, uint64_t total_events, int shard = -1) {
-  HopContext<Queue> ctx;
+template <bool kInstrumented = false>
+RunResult RunHopLoop(EventQueue& q, int population, uint64_t total_events, int shard = -1) {
+  HopContext ctx;
   ctx.q = &q;
   ctx.total = total_events;
   obs::ShardContext obs_ctx;
@@ -233,12 +132,11 @@ RunResult RunHopLoop(Queue& q, int population, uint64_t total_events, int shard 
   }
 
   for (int i = 0; i < population; ++i) {
-    PacketT pkt{};
-    Packet& slim = Hop<Queue, PacketT>::SlimOf(pkt);
-    slim.type = PacketType::kData;
-    slim.seq = static_cast<uint32_t>(i);
-    slim.size_bytes = 1064;
-    q.Push(ctx.NextDelay(), Hop<Queue, PacketT, kInstrumented>{&ctx, pkt});
+    Packet pkt{};
+    pkt.type = PacketType::kData;
+    pkt.seq = static_cast<uint32_t>(i);
+    pkt.size_bytes = 1064;
+    q.Push(ctx.NextDelay(), Hop<kInstrumented>{&ctx, pkt});
   }
 
   const uint64_t allocs_before = g_allocs.load(std::memory_order_relaxed);
@@ -279,8 +177,8 @@ RunResult RunShardedPass(int shards, int population, uint64_t total_events) {
   for (int s = 0; s < shards; ++s) {
     threads.emplace_back([&per, s, shards, population, total_events] {
       EventQueue q;
-      per[static_cast<size_t>(s)] = RunHopLoop<Packet, kInstrumented>(
-          q, population / shards, total_events / shards, s);
+      per[static_cast<size_t>(s)] =
+          RunHopLoop<kInstrumented>(q, population / shards, total_events / shards, s);
     });
   }
   for (std::thread& t : threads) {
@@ -301,51 +199,22 @@ RunResult RunShardedPass(int shards, int population, uint64_t total_events) {
   return r;
 }
 
-// --- IRN OoO-tracker comparison ---------------------------------------------
-// The transport's receiver used to track buffered out-of-order segments in a
-// std::set<uint32_t> (one red-black node allocation per buffered segment);
-// SeqWindow replaces it with a fixed ring bitmap whose only allocation is the
-// Reset() outside the packet path. Both loops run the identical arrival
-// pattern: per round, segments [base+1, base+window) land in a permuted
-// order (worst case: everything buffers behind one hole), then the hole
-// fills and the run drains in sequence.
+// --- IRN OoO tracker ---------------------------------------------------------
+// The transport's receiver tracks buffered out-of-order segments in a SeqWindow
+// ring bitmap whose only allocation is the Reset() outside the packet path.
+// Per round, segments [base+1, base+window) land in a permuted order (worst
+// case: everything buffers behind one hole), then the hole fills and the run
+// drains in sequence, so each round drains exactly window - 1 segments.
 struct OooResult {
   double ops_per_sec = 0;
   uint64_t allocs = 0;
-  uint64_t drained = 0;  // checksum: both trackers must drain the same count
+  uint64_t drained = 0;
 };
 
 // 1217 is coprime to window-1 = 2047 (= 23 * 89), so the stride walk visits
 // every buffered slot exactly once per round.
 inline uint32_t OooPermuted(uint32_t base, uint32_t k, uint32_t window) {
   return base + 1 + (k * 1217) % (window - 1);
-}
-
-OooResult RunOooSetLoop(uint32_t window, int rounds) {
-  std::set<uint32_t> ooo;
-  uint32_t expected = 0;
-  OooResult r;
-  const uint64_t allocs_before = g_allocs.load(std::memory_order_relaxed);
-  const auto t0 = std::chrono::steady_clock::now();
-  for (int round = 0; round < rounds; ++round) {
-    const uint32_t base = expected;
-    for (uint32_t k = 1; k < window; ++k) {
-      ooo.insert(OooPermuted(base, k, window));
-    }
-    ++expected;  // the hole fills
-    auto it = ooo.begin();
-    while (it != ooo.end() && *it == expected) {
-      ++expected;
-      it = ooo.erase(it);
-      ++r.drained;
-    }
-  }
-  const auto t1 = std::chrono::steady_clock::now();
-  r.allocs = g_allocs.load(std::memory_order_relaxed) - allocs_before;
-  const double secs = std::chrono::duration<double>(t1 - t0).count();
-  const double ops = static_cast<double>(rounds) * window;
-  r.ops_per_sec = secs > 0 ? ops / secs : 0;
-  return r;
 }
 
 OooResult RunOooBitmapLoop(uint32_t window, int rounds) {
@@ -408,12 +277,6 @@ int main(int argc, char** argv) {
   constexpr int kPopulation = 4096;     // in-flight packets ≈ heap size
   constexpr uint64_t kEvents = 4'000'000;
 
-  // Warm-up pass sizes both heaps' backing vectors, then the measured pass
-  // runs allocation-free where the callable representation allows it.
-  FnEventQueue fn_q;
-  RunHopLoop<SeedPacket>(fn_q, kPopulation, kEvents / 8);
-  const RunResult fn_r = RunHopLoop<SeedPacket>(fn_q, kPopulation, kEvents);
-
   // Instrumented loop setup: the production per-packet obs calls compiled
   // in. --obs=off leaves the subsystems disabled and measures the cost of
   // the dormant branches (the <2% regression gate); --obs=on turns metrics
@@ -424,10 +287,12 @@ int main(int argc, char** argv) {
     obs::FlightRecorder::Instance().Enable(true);
   }
 
+  // Warm-up passes size both heaps' backing vectors, so the measured passes
+  // run allocation-free.
   EventQueue inline_q;
   EventQueue obs_q;
-  RunHopLoop<Packet>(inline_q, kPopulation, kEvents / 8);
-  RunHopLoop<Packet, /*kInstrumented=*/true>(obs_q, kPopulation, kEvents / 8);
+  RunHopLoop(inline_q, kPopulation, kEvents / 8);
+  RunHopLoop</*kInstrumented=*/true>(obs_q, kPopulation, kEvents / 8);
 
   // Best-of-3 with interleaved passes: the plain-vs-instrumented delta is
   // single-digit percent at most, well inside run-to-run scheduling noise,
@@ -436,8 +301,8 @@ int main(int argc, char** argv) {
   RunResult obs_r;
   InlineEvent::ResetCounters();
   for (int rep = 0; rep < 3; ++rep) {
-    const RunResult a = RunHopLoop<Packet>(inline_q, kPopulation, kEvents);
-    const RunResult b = RunHopLoop<Packet, /*kInstrumented=*/true>(obs_q, kPopulation, kEvents);
+    const RunResult a = RunHopLoop(inline_q, kPopulation, kEvents);
+    const RunResult b = RunHopLoop</*kInstrumented=*/true>(obs_q, kPopulation, kEvents);
     if (a.events_per_sec > inline_r.events_per_sec) {
       inline_r = a;
     }
@@ -451,8 +316,8 @@ int main(int argc, char** argv) {
           ? (inline_r.events_per_sec - obs_r.events_per_sec) / inline_r.events_per_sec * 100.0
           : 0;
 
-  if (fn_r.checksum != inline_r.checksum || obs_r.checksum != inline_r.checksum) {
-    std::fprintf(stderr, "checksum mismatch: queues executed different work\n");
+  if (obs_r.checksum != inline_r.checksum) {
+    std::fprintf(stderr, "checksum mismatch: plain and instrumented loops did different work\n");
     return 1;
   }
 
@@ -486,22 +351,17 @@ int main(int argc, char** argv) {
             : 0;
   }
 
-  const double speedup =
-      fn_r.events_per_sec > 0 ? inline_r.events_per_sec / fn_r.events_per_sec : 0;
-
-  // IRN OoO-tracker section: identical synthetic arrival pattern through the
-  // old std::set tracker and the SeqWindow ring bitmap. The bitmap's timed
-  // loop must be allocation-free — that is the point of the replacement.
+  // IRN OoO-tracker section: the bitmap's timed loop must be allocation-free
+  // and must drain exactly the segments the arrival pattern buffers.
   constexpr uint32_t kOooWindow = 2048;  // TransportConfig::ooo_window_segments
   constexpr int kOooRounds = 2000;
-  RunOooSetLoop(kOooWindow, kOooRounds / 8);     // warm-up
-  RunOooBitmapLoop(kOooWindow, kOooRounds / 8);  // sizes the bitmap once
-  const OooResult ooo_set = RunOooSetLoop(kOooWindow, kOooRounds);
+  RunOooBitmapLoop(kOooWindow, kOooRounds / 8);  // warm-up
   const OooResult ooo_bitmap = RunOooBitmapLoop(kOooWindow, kOooRounds);
-  if (ooo_set.drained != ooo_bitmap.drained) {
-    std::fprintf(stderr, "ooo checksum mismatch: set drained %llu, bitmap drained %llu\n",
-                 static_cast<unsigned long long>(ooo_set.drained),
-                 static_cast<unsigned long long>(ooo_bitmap.drained));
+  const uint64_t ooo_expected = static_cast<uint64_t>(kOooRounds) * (kOooWindow - 1);
+  if (ooo_bitmap.drained != ooo_expected) {
+    std::fprintf(stderr, "ooo checksum mismatch: bitmap drained %llu, pattern buffers %llu\n",
+                 static_cast<unsigned long long>(ooo_bitmap.drained),
+                 static_cast<unsigned long long>(ooo_expected));
     return 1;
   }
   // Reset() ran before the timed section, so any allocation here means the
@@ -511,19 +371,14 @@ int main(int argc, char** argv) {
                  static_cast<unsigned long long>(ooo_bitmap.allocs));
     return 1;
   }
-  const double ooo_speedup =
-      ooo_set.ops_per_sec > 0 ? ooo_bitmap.ops_per_sec / ooo_set.ops_per_sec : 0;
 
   std::printf("events_hotpath: %llu events, population %d\n",
               static_cast<unsigned long long>(kEvents), kPopulation);
-  std::printf("  std::function queue : %12.0f events/s  %.3f allocs/event\n",
-              fn_r.events_per_sec, fn_r.allocs_per_event);
   std::printf("  InlineEvent queue   : %12.0f events/s  %.3f allocs/event  "
               "(%llu inline, %llu heap)\n",
               inline_r.events_per_sec, inline_r.allocs_per_event,
               static_cast<unsigned long long>(counters.inline_events),
               static_cast<unsigned long long>(counters.heap_events));
-  std::printf("  speedup             : %.2fx\n", speedup);
   std::printf("  instrumented (obs=%s): %12.0f events/s  %.3f allocs/event  "
               "(%.2f%% vs plain inline)\n",
               obs_mode.c_str(), obs_r.events_per_sec, obs_r.allocs_per_event, obs_overhead_pct);
@@ -533,11 +388,8 @@ int main(int argc, char** argv) {
     std::printf("  sharded x%d obs=%s  : %12.0f events/s  (%.2f%% vs sharded plain)\n", shards,
                 obs_mode.c_str(), sharded_obs.events_per_sec, sharded_overhead_pct);
   }
-  std::printf("  ooo set tracker     : %12.0f ops/s  %llu allocs\n", ooo_set.ops_per_sec,
-              static_cast<unsigned long long>(ooo_set.allocs));
-  std::printf("  ooo bitmap tracker  : %12.0f ops/s  %llu allocs  (%.2fx)\n",
-              ooo_bitmap.ops_per_sec, static_cast<unsigned long long>(ooo_bitmap.allocs),
-              ooo_speedup);
+  std::printf("  ooo bitmap tracker  : %12.0f ops/s  %llu allocs\n", ooo_bitmap.ops_per_sec,
+              static_cast<unsigned long long>(ooo_bitmap.allocs));
 
   char sharded_json[320] = "";
   if (shards > 1) {
@@ -548,7 +400,7 @@ int main(int argc, char** argv) {
                   sharded_overhead_pct);
   }
 
-  char json[1792];
+  char json[1280];
   std::snprintf(
       json, sizeof(json),
       "{\n"
@@ -556,25 +408,19 @@ int main(int argc, char** argv) {
       "  \"events\": %llu,\n"
       "  \"population\": %d,\n"
       "  \"shards\": %d,\n"
-      "  \"fn_queue\": {\"events_per_sec\": %.0f, \"allocs_per_event\": %.4f},\n"
       "  \"inline_queue\": {\"events_per_sec\": %.0f, \"allocs_per_event\": %.4f,\n"
       "                   \"inline_events\": %llu, \"heap_events\": %llu},\n"
-      "  \"speedup\": %.3f,\n"
       "  \"obs_mode\": \"%s\",\n"
       "  \"obs_queue\": {\"events_per_sec\": %.0f, \"allocs_per_event\": %.4f},\n"
       "%s"
-      "  \"ooo_set\": {\"ops_per_sec\": %.0f, \"allocs\": %llu},\n"
       "  \"ooo_bitmap\": {\"ops_per_sec\": %.0f, \"allocs\": %llu},\n"
-      "  \"ooo_speedup\": %.3f,\n"
       "  \"obs_overhead_pct\": %.3f\n"
       "}\n",
-      static_cast<unsigned long long>(kEvents), kPopulation, shards, fn_r.events_per_sec,
-      fn_r.allocs_per_event, inline_r.events_per_sec, inline_r.allocs_per_event,
-      static_cast<unsigned long long>(counters.inline_events),
-      static_cast<unsigned long long>(counters.heap_events), speedup, obs_mode.c_str(),
-      obs_r.events_per_sec, obs_r.allocs_per_event, sharded_json, ooo_set.ops_per_sec,
-      static_cast<unsigned long long>(ooo_set.allocs), ooo_bitmap.ops_per_sec,
-      static_cast<unsigned long long>(ooo_bitmap.allocs), ooo_speedup, obs_overhead_pct);
+      static_cast<unsigned long long>(kEvents), kPopulation, shards, inline_r.events_per_sec,
+      inline_r.allocs_per_event, static_cast<unsigned long long>(counters.inline_events),
+      static_cast<unsigned long long>(counters.heap_events), obs_mode.c_str(),
+      obs_r.events_per_sec, obs_r.allocs_per_event, sharded_json, ooo_bitmap.ops_per_sec,
+      static_cast<unsigned long long>(ooo_bitmap.allocs), obs_overhead_pct);
 
   if (!json_path.empty()) {
     if (std::FILE* f = std::fopen(json_path.c_str(), "w")) {

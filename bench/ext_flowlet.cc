@@ -29,7 +29,7 @@ int main() {
   spec.Variants({{"", "flow-level LCMP (paper)"},
                  {"lcmp.flow_idle_timeout_us=200 lcmp.gc_period_ms=10",
                   "flowlet LCMP + Go-Back-N"},
-                 {"lcmp.flow_idle_timeout_us=200 lcmp.gc_period_ms=10 ooo_tolerance=true",
+                 {"lcmp.flow_idle_timeout_us=200 lcmp.gc_period_ms=10 reliability=irn",
                   "flowlet LCMP + OoO tolerance"}});
 
   TablePrinter table({"variant", "flows", "p50 slowdown", "p99 slowdown", "retransmits"});

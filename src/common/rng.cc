@@ -60,16 +60,4 @@ double Rng::NextExponential(double mean) {
   return -mean * std::log(u);
 }
 
-double Rng::NextGaussian(double mean, double stddev) {
-  // Box-Muller using two fresh uniforms each call (no cached spare, keeps the
-  // stream position deterministic regardless of call interleaving).
-  double u1 = NextDouble();
-  if (u1 <= 0.0) {
-    u1 = 0x1.0p-53;
-  }
-  const double u2 = NextDouble();
-  const double r = std::sqrt(-2.0 * std::log(u1));
-  return mean + stddev * r * std::cos(2.0 * M_PI * u2);
-}
-
 }  // namespace lcmp

@@ -30,10 +30,6 @@ class Rng {
   // Poisson inter-arrival times in the traffic generator.
   double NextExponential(double mean);
 
-  // Normally distributed value (Box-Muller). Used by the SoftRoCE emulation
-  // jitter model.
-  double NextGaussian(double mean, double stddev);
-
   // Re-seed, resetting the stream.
   void Seed(uint64_t seed);
 

@@ -67,10 +67,6 @@ class FlowCache {
 
   // Paper-accounting memory footprint (entries * 20 B).
   size_t MemoryBytes() const { return static_cast<size_t>(capacity_) * kBytesPerEntry; }
-  // Actual heap bytes held right now. Zero until the first Insert: slot
-  // storage is lazy so the thousands of non-DCI switches that carry a policy
-  // but never cache a flow cost nothing (extreme-scale topologies).
-  size_t AllocatedBytes() const { return slots_.capacity() * sizeof(Entry); }
 
   // --- statistics ---
   int64_t hits() const { return hits_; }

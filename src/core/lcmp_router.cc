@@ -192,14 +192,6 @@ size_t LcmpRouter::MemoryBytes() const {
          cpath_bytes;
 }
 
-size_t LcmpRouter::OwnMemoryBytes() const {
-  size_t cpath_bytes = cpath_tables_.capacity() * sizeof(std::vector<uint8_t>);
-  for (const auto& t : cpath_tables_) {
-    cpath_bytes += t.capacity();
-  }
-  return estimator_.MemoryBytes() + flow_cache_.AllocatedBytes() + cpath_bytes;
-}
-
 PolicyFactory MakeLcmpFactory(const LcmpConfig& config) {
   // One shared bootstrap-table instance; routers are per switch.
   auto tables = std::make_shared<const BootstrapTables>(BootstrapTables::Build(config));

@@ -67,11 +67,6 @@ class LcmpRouter : public MultipathPolicy {
 
   // Sec. 4 resource accounting: registers + flow cache + tables.
   size_t MemoryBytes() const;
-  // Bytes this router actually holds on the heap right now, excluding the
-  // BootstrapTables shared across the fleet. Unlike MemoryBytes() (the
-  // paper's worst-case accounting), this reflects lazy flow-cache allocation
-  // — the number bench/scalability_v2 sums per switch.
-  size_t OwnMemoryBytes() const;
 
  private:
   const std::vector<uint8_t>& PathTableFor(SwitchNode& sw, DcId dst_dc, int layer,

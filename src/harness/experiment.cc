@@ -1,6 +1,7 @@
 #include "harness/experiment.h"
 
 #include <algorithm>
+#include <cstdio>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -409,6 +410,41 @@ SlowdownStats ExperimentResult::ForDcPairBidir(DcId a, DcId b) const {
   return out;
 }
 
+namespace {
+
+bool OutOfRange(const char* field, double value, const char* domain, std::string* error) {
+  if (error != nullptr) {
+    char buf[160];
+    std::snprintf(buf, sizeof(buf), "field '%s' = %g is out of range (want %s)", field, value,
+                  domain);
+    *error = buf;
+  }
+  return false;
+}
+
+}  // namespace
+
+bool ValidateExperimentConfig(const ExperimentConfig& config, std::string* error) {
+  // Negated comparisons so NaN fails every bound.
+  if (config.num_flows <= 0) {
+    return OutOfRange("flows", config.num_flows, "> 0", error);
+  }
+  if (!(config.load > 0.0 && config.load <= 1.0)) {
+    return OutOfRange("load", config.load, "(0, 1]", error);
+  }
+  if (!(config.mix_intra >= 0.0 && config.mix_intra < 1.0)) {
+    return OutOfRange("mix_intra", config.mix_intra, "[0, 1)", error);
+  }
+  if (!(config.dci_loss_rate >= 0.0 && config.dci_loss_rate < 1.0)) {
+    return OutOfRange("dci_loss_rate", config.dci_loss_rate, "[0, 1)", error);
+  }
+  if (config.max_inflight_bytes < 0) {
+    return OutOfRange("max_inflight_bytes", static_cast<double>(config.max_inflight_bytes),
+                      ">= 0", error);
+  }
+  return true;
+}
+
 ExperimentResult RunExperiment(const ExperimentConfig& config) {
   LCMP_CHECK(ValidateConfig(config.lcmp));
   const Graph graph = BuildTopology(config);
@@ -519,11 +555,7 @@ ExperimentResult RunExperiment(const ExperimentConfig& config) {
   tconfig.cc = config.cc;
   tconfig.cc_inter = config.cc_inter;
   tconfig.cc_intra = config.cc_intra;
-  tconfig.emulation_mode = config.emulation_mode;
-  // Either the first-class mode switch or the deprecated ooo_tolerance
-  // alias selects IRN (the transport ctor honors the alias too).
   tconfig.reliability = config.reliability;
-  tconfig.ooo_tolerance = config.ooo_tolerance;
   tconfig.max_inflight_bytes = config.max_inflight_bytes;
   Simulator& sim = net.sim();
   const int expected = static_cast<int>(flows.size());
@@ -581,12 +613,12 @@ ExperimentResult RunExperiment(const ExperimentConfig& config) {
   }
   if (engine != nullptr) {
     // Barrier/stall profiling is wall-clock-only, so arm it whenever any obs
-    // subsystem is on (the trace export and bench JSON consume it) or the
-    // caller asked explicitly. Begin() can fail only if another run holds the
-    // profiler (e.g. a parallel sweep); then this run just goes unprofiled.
+    // subsystem is on (the trace export consumes it). Begin() can fail only if
+    // another run holds the profiler (e.g. a parallel sweep); then this run
+    // just goes unprofiled.
     const bool profile_barriers =
-        (config.profile_barriers || obs::MetricsEnabled() || obs::TraceEnabled() ||
-         obs::ProfileEnabled() || obs::TimeSeriesHub::Instance().enabled()) &&
+        (obs::MetricsEnabled() || obs::TraceEnabled() || obs::ProfileEnabled() ||
+         obs::TimeSeriesHub::Instance().enabled()) &&
         obs::BarrierProfiler::Instance().Begin(net.num_shards());
     engine->Run();
     if (profile_barriers) {

@@ -92,8 +92,6 @@ struct ExperimentConfig {
   double load = 0.3;       // target average inter-DC link utilization
   int num_flows = 1000;
   uint64_t seed = 1;
-  // SoftRoCE/Mininet-style host emulation (Fig. 5/6 testbed mode).
-  bool emulation_mode = false;
   // LCMP tunables (ablations override alpha/beta/w_* here).
   LcmpConfig lcmp;
   // Safety horizon; the run stops early once all flows complete.
@@ -143,9 +141,6 @@ struct ExperimentConfig {
   // Transport loss recovery (DESIGN.md §15): Go-Back-N (RoCE default) or
   // IRN selective retransmission with SACK-range NACKs.
   ReliabilityMode reliability = ReliabilityMode::kGoBackN;
-  // Deprecated alias for reliability = irn; kept so existing sweep files
-  // and goldens keep parsing. Either switch selects IRN.
-  bool ooo_tolerance = false;
   // Lossy long-haul tier on every inter-DC link (DESIGN.md §15): standing
   // Gilbert–Elliott corruption plus an optional k:m FEC shim at the DCI
   // gateways. All-defaults keeps the tier off and digests unchanged.
@@ -190,12 +185,6 @@ struct ExperimentConfig {
   // config field — any shard count produces bit-identical results, so it is
   // an execution knob like --jobs, not part of the experiment's identity.
   int shards = 1;
-  // Arm the PDES barrier/stall profiler (obs/shard_profile.h) on sharded runs
-  // even when no other obs subsystem is on — the scalability bench uses this
-  // to report per-shard stall/imbalance. Measures wall time only; never
-  // touches sim state, so results stay bit-identical. Like `shards`, an
-  // execution knob outside the experiment's identity.
-  bool profile_barriers = false;
 };
 
 struct ExperimentResult {
@@ -232,9 +221,8 @@ struct ExperimentResult {
   // > 1 MB and the maximum egress queue depth observed.
   int endpoint_egress_used = 0;
   int64_t endpoint_max_queue_bytes = 0;
-  // Memory accounting (bench/scalability_v2): graph bytes, multipath table
-  // bytes (shared arena + per-switch slots), and the fleet shape they are
-  // amortized over.
+  // Memory accounting: graph bytes, multipath table bytes (shared arena +
+  // per-switch slots), and the fleet shape they are amortized over.
   size_t topo_bytes = 0;
   size_t path_table_bytes = 0;
   size_t static_table_bytes = 0;
@@ -256,6 +244,11 @@ Graph BuildTopology(const ExperimentConfig& config);
 
 // Traffic pairing for the experiment's topology.
 std::vector<std::pair<DcId, DcId>> BuildPairing(const ExperimentConfig& config, int num_dcs);
+
+// Rejects values outside the domains the CLI help states: flows > 0, load in
+// (0, 1], mix_intra in [0, 1), dci_loss_rate in [0, 1), max_inflight_bytes
+// >= 0. Returns false and names the offending field in `error`.
+bool ValidateExperimentConfig(const ExperimentConfig& config, std::string* error);
 
 // Runs one experiment to completion (or the horizon) and gathers results.
 ExperimentResult RunExperiment(const ExperimentConfig& config);

@@ -241,8 +241,7 @@ ShardOptions GetShardOptions(const FlagSet& flags) {
 }
 
 bool ValidateShardOptions(const ShardOptions& shard, const SweepOptions& sweep,
-                          const ObsOptions& obs, bool emulation_mode, int thread_budget,
-                          std::string* error) {
+                          int thread_budget, std::string* error) {
   if (shard.shards < 1) {
     if (error != nullptr) {
       *error = "--shards must be >= 1";
@@ -251,18 +250,6 @@ bool ValidateShardOptions(const ShardOptions& shard, const SweepOptions& sweep,
   }
   if (shard.shards == 1) {
     return true;
-  }
-  // Observability (--trace*, --metrics-out, --timeseries-out) composes with
-  // sharding: the recorder and metric cells are per-shard-lane and merge
-  // deterministically by (sim-time, lineage key) at dump time (DESIGN.md §7).
-  (void)obs;
-  if (emulation_mode) {
-    if (error != nullptr) {
-      *error =
-          "--emulation with --shards > 1: host emulation pipeline state is "
-          "not partitioned by shard; re-run with --shards=1";
-    }
-    return false;
   }
   // Thread budget: every concurrent experiment spawns `shards` workers, so
   // even one run (or an auto-sized sweep, which caps jobs but not shards)

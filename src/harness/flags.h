@@ -104,7 +104,7 @@ bool ValidateSweepObsOptions(const SweepOptions& sweep, const ObsOptions& obs,
 // --- shard flags (the conservative-PDES sharded core; DESIGN.md §12) ---
 //
 // DefineShardFlags registers --shards; GetShardOptions reads it;
-// ValidateShardOptions enforces the combination rules; ResolveSweepJobs picks
+// ValidateShardOptions enforces the thread budget; ResolveSweepJobs picks
 // a sweep worker count that keeps jobs x shards inside the thread budget.
 struct ShardOptions {
   int shards = 1;  // event-core partitions per run; 1 = the sequential core
@@ -113,14 +113,9 @@ struct ShardOptions {
 void DefineShardFlags(FlagSet& flags);
 ShardOptions GetShardOptions(const FlagSet& flags);
 
-// Rejects flag combinations the sharded core cannot honor. Two classes:
-//
-// Shard-unsafe subsystems: --emulation keeps host pipeline state that is not
-// partitioned by shard. Observability is *not* rejected — metric cells are
-// per-lane relaxed atomics merged at snapshot time, and the flight recorder
-// keeps a per-shard-lane ring whose records merge deterministically by
-// (sim-time, lineage key) at dump time (DESIGN.md §7), so --trace* and
-// --metrics-out both compose with --shards > 1.
+// Rejects shard counts the host cannot honor. Every other flag composes with
+// --shards > 1: observability sinks are per-shard lanes merged
+// deterministically by (sim-time, lineage key) at dump time (DESIGN.md §7).
 //
 // Thread budget: a run at --shards=S spawns S workers and a sweep at
 // --jobs=J runs J experiments concurrently, so the process needs J*S (or S)
@@ -130,8 +125,7 @@ ShardOptions GetShardOptions(const FlagSet& flags);
 //
 // Returns false and fills `error` on a bad combination (CLI exits 2).
 bool ValidateShardOptions(const ShardOptions& shard, const SweepOptions& sweep,
-                          const ObsOptions& obs, bool emulation_mode, int thread_budget,
-                          std::string* error);
+                          int thread_budget, std::string* error);
 
 // Effective sweep worker count under the thread budget: an explicit --jobs
 // wins (ValidateShardOptions vetted the product); --jobs=0 resolves to

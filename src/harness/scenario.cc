@@ -4,8 +4,6 @@
 #include <limits>
 #include <map>
 
-#include "common/logging.h"
-#include "harness/sweep.h"
 #include "harness/table.h"
 
 namespace lcmp {
@@ -28,27 +26,6 @@ std::vector<NamedResult> ToNamedResults(const std::vector<RunOutcome>& outcomes)
   }
   return results;
 }
-
-// Defining the deprecated shim is not itself a deprecated use, but some
-// compilers warn anyway; keep the build quiet either way.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-std::vector<SweepCell> RunPolicyLoadSweep(const ExperimentConfig& base,
-                                          const std::vector<PolicyKind>& policies,
-                                          const std::vector<double>& loads) {
-  // Loads before Policies: the legacy loop nested policies inside loads, and
-  // the first-declared axis varies slowest, so cell order is preserved.
-  SweepSpec spec(base);
-  spec.Loads(loads).Policies(policies);
-  std::vector<RunOutcome> outcomes;
-  std::string error;
-  if (!RunSweep(spec, SweepRunnerOptions{}, &outcomes, &error)) {
-    LCMP_ERROR("RunPolicyLoadSweep: %s", error.c_str());
-    return {};
-  }
-  return ToSweepCells(outcomes);
-}
-#pragma GCC diagnostic pop
 
 void PrintSlowdownTable(const std::string& title, const std::vector<SweepCell>& cells,
                         bool dc_pair_only, DcId pair_a, DcId pair_b) {

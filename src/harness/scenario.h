@@ -21,14 +21,6 @@ struct SweepCell {
 // policy and load back out of each run's config.
 std::vector<SweepCell> ToSweepCells(const std::vector<RunOutcome>& outcomes);
 
-// Runs every (policy, load) combination of `base` in load-major, policy-minor
-// order. Thin shim over the sweep engine, kept so pre-sweep callers print
-// byte-identical tables; new code should build a SweepSpec and call RunSweep.
-[[deprecated("build a SweepSpec and call RunSweep instead")]]
-std::vector<SweepCell> RunPolicyLoadSweep(const ExperimentConfig& base,
-                                          const std::vector<PolicyKind>& policies,
-                                          const std::vector<double>& loads);
-
 // Prints "load | policy | p50 | p99 | vs-LCMP reductions" rows for a sweep
 // (the shape of Fig. 5 / 7 / 9 / 10).
 void PrintSlowdownTable(const std::string& title, const std::vector<SweepCell>& cells,

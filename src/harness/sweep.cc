@@ -229,7 +229,6 @@ const std::vector<FieldEntry>& FieldTable() {
        }},
       LCMP_FIELD_INT("path_layers", path_layers),
       LCMP_FIELD_INT("layer_drop_permille", layer_drop_permille),
-      LCMP_FIELD_BOOL("emulation", emulation_mode),
       LCMP_FIELD_TIME("horizon_ms", horizon, 1'000'000),
       LCMP_FIELD_TIME("telemetry_us", telemetry_period, 1'000),
       // Faults / invariants.
@@ -244,7 +243,6 @@ const std::vector<FieldEntry>& FieldTable() {
          return ParseReliabilityMode(v, &c->reliability, e);
        },
        [](const ExperimentConfig& c) { return std::string(ReliabilityModeToken(c.reliability)); }},
-      LCMP_FIELD_BOOL("ooo_tolerance", ooo_tolerance),
       // Lossy long-haul tier (DESIGN.md §15).
       LCMP_FIELD_DOUBLE("dci_loss_rate", dci_loss_rate),
       LCMP_FIELD_DOUBLE("dci_burst_len", dci_burst_len),
@@ -540,6 +538,13 @@ bool ExpandSweep(const SweepSpec& spec, std::vector<SweepRun>* runs, std::string
     }
     if (run.label.empty()) {
       run.label = "base";
+    }
+    std::string range_error;
+    if (!ValidateExperimentConfig(run.config, &range_error)) {
+      if (error != nullptr) {
+        *error = "run '" + run.label + "': " + range_error;
+      }
+      return false;
     }
     runs->push_back(std::move(run));
   }

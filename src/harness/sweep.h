@@ -4,8 +4,7 @@
 // A SweepSpec is a base config plus an ordered list of axes; each axis names
 // a config field and the string-encoded values it takes. Expansion is the
 // cartesian product in row-major order with the FIRST axis varying SLOWEST,
-// so axes [load, policy] reproduce the legacy load-major / policy-minor cell
-// order of RunPolicyLoadSweep exactly.
+// so axes [load, policy] give load-major / policy-minor cell order.
 //
 // The same spec is constructible three ways with identical semantics:
 //   * fluent C++ builder (the bench/ binaries):
@@ -101,8 +100,9 @@ bool GetConfigField(const ExperimentConfig& config, const std::string& field, st
 
 // ---- Expansion ----
 
-// Expands the grid (validating every axis field and value up-front). A spec
-// with no axes expands to one run of the base config.
+// Expands the grid (validating every axis field and value, and every expanded
+// run through ValidateExperimentConfig, up-front). A spec with no axes
+// expands to one run of the base config.
 bool ExpandSweep(const SweepSpec& spec, std::vector<SweepRun>* runs, std::string* error);
 
 // ---- JSON spec (schema in examples/sweep_policy_load.json) ----

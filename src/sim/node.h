@@ -46,7 +46,6 @@ class Node {
   NodeId id() const { return id_; }
   Kind kind() const { return kind_; }
   DcId dc() const { return dc_; }
-  Rng& rng() { return rng_; }
 
   // INT side-buffer pool (owned by the Network; null when telemetry is off
   // and in port-level unit tests that never stamp INT).

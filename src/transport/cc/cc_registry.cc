@@ -114,16 +114,6 @@ bool SegmentCcSpec::Parse(const std::string& text, SegmentCcSpec* out, std::stri
          ParseCcToken(text.substr(slash + 1), &out->intra, error);
 }
 
-bool ApplyLegacyCcFlag(const std::string& legacy, SegmentCcSpec* spec, std::string* error) {
-  static bool warned = false;
-  if (!warned) {
-    warned = true;
-    LCMP_WARN("--cc is deprecated; use --cc-inter/--cc-intra (applying '%s' to both segments)",
-              legacy.c_str());
-  }
-  return SegmentCcSpec::Parse(legacy, spec, error);
-}
-
 bool CcNeedsInt(const SegmentCcSpec& spec) {
   const CcRegistry& registry = CcRegistry::Instance();
   return registry.NeedsInt(spec.inter) || registry.NeedsInt(spec.intra);

@@ -91,8 +91,7 @@ struct SegmentCcSpec {
   // Canonical token: "dcqcn" for uniform specs, "lcp/dcqcn" (inter/intra)
   // for split ones. Round-trips through Parse.
   std::string Token() const;
-  // Accepts "tok" (sets both segments — the legacy --cc behavior) or
-  // "interTok/intraTok".
+  // Accepts "tok" (sets both segments) or "interTok/intraTok".
   static bool Parse(const std::string& text, SegmentCcSpec* out, std::string* error);
 
   friend bool operator==(const SegmentCcSpec&, const SegmentCcSpec&) = default;
@@ -100,10 +99,5 @@ struct SegmentCcSpec {
 
 // True when any segment's algorithm needs INT stamping.
 bool CcNeedsInt(const SegmentCcSpec& spec);
-
-// The legacy --cc flag's shim: parses `legacy` into *spec (setting BOTH
-// segments, the old end-to-end behavior) and warns once per process that the
-// flag is deprecated in favor of --cc-inter/--cc-intra.
-bool ApplyLegacyCcFlag(const std::string& legacy, SegmentCcSpec* spec, std::string* error);
 
 }  // namespace lcmp

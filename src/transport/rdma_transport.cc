@@ -63,16 +63,8 @@ RdmaTransport::RdmaTransport(Network* net, const TransportConfig& config,
       config_(config),
       on_complete_(std::move(on_complete)),
       oracle_(&net->graph()) {
-  // Deprecated alias: ooo_tolerance was the bench hack that grew into the
-  // IRN mode; configs that still set it get the first-class implementation.
-  if (config_.ooo_tolerance) {
-    config_.reliability = ReliabilityMode::kIrn;
-  }
   LCMP_CHECK(CcRegistry::Instance().Known(config_.cc.inter));
   LCMP_CHECK(CcRegistry::Instance().Known(config_.cc.intra));
-  // Emulation mode mutates per-host pipeline cursors at runtime; it is a
-  // single-shard feature (the harness rejects the combination up front).
-  LCMP_CHECK(net_->num_shards() == 1 || !config_.emulation_mode);
   // Register as the packet sink of every host.
   const Graph& g = net_->graph();
   for (NodeId id = 0; id < g.num_vertices(); ++id) {
@@ -83,32 +75,7 @@ RdmaTransport::RdmaTransport(Network* net, const TransportConfig& config,
 }
 
 int64_t RdmaTransport::LineRate(NodeId host) const {
-  const Port& nic = net_->host(host).port(0);
-  int64_t rate = nic.rate_bps();
-  if (config_.emulation_mode) {
-    rate = std::min(rate, config_.emu_rate_cap_bps);
-  }
-  return rate;
-}
-
-TimeNs RdmaTransport::HostOverhead(NodeId host) {
-  if (!config_.emulation_mode) {
-    return 0;
-  }
-  // SoftRoCE software stack: per-packet processing latency with jitter.
-  HostNode& h = net_->host(host);
-  const double sample = h.rng().NextGaussian(static_cast<double>(config_.emu_overhead_mean),
-                                             static_cast<double>(config_.emu_overhead_stddev));
-  return std::max<TimeNs>(static_cast<TimeNs>(sample), Microseconds(1));
-}
-
-TimeNs RdmaTransport::EmuPipelineSlot(std::unordered_map<NodeId, TimeNs>& ready, NodeId host) {
-  const TimeNs now = net_->sim().now();
-  TimeNs slot = now + HostOverhead(host);
-  TimeNs& cursor = ready[host];
-  slot = std::max(slot, cursor + 1);  // strictly increasing: FIFO per host
-  cursor = slot;
-  return slot;
+  return net_->host(host).port(0).rate_bps();
 }
 
 void RdmaTransport::RegisterFlow(const FlowSpec& spec) {
@@ -298,20 +265,9 @@ void RdmaTransport::PaceNext(FlowId flow) {
   data_packets_sent_.fetch_add(1, std::memory_order_relaxed);
   TransportMetrics::Get().data_sent->Inc();
 
-  if (config_.emulation_mode) {
-    HostNode* hp = &host;
-    const TimeNs slot = EmuPipelineSlot(emu_tx_ready_, s.spec.src);
-    auto send = [hp, pkt]() mutable { hp->Send(std::move(pkt)); };
-    static_assert(InlineEvent::kFitsInline<decltype(send)>,
-                  "host send closure must stay allocation-free");
-    net_->sim().Schedule(slot - net_->sim().now(), std::move(send));
-  } else {
-    host.Send(std::move(pkt));
-  }
+  host.Send(std::move(pkt));
 
-  // Pace the next segment at the congestion-controlled rate. The host-stack
-  // overhead is a pipelined latency stage (it delays each packet but does
-  // not throttle the stream), so it does not enter the pacing gap.
+  // Pace the next segment at the congestion-controlled rate.
   const int64_t rate = std::clamp<int64_t>(s.cc->rate_bps(), Mbps(10), LineRate(s.spec.src));
   const TimeNs gap = SerializationDelay(pkt.size_bytes, rate);
   SchedulePacing(s, gap);
@@ -399,20 +355,6 @@ void RdmaTransport::OnRtoScan(FlowId flow) {
 }
 
 void RdmaTransport::OnHostReceive(NodeId host, Packet pkt) {
-  if (config_.emulation_mode) {
-    const TimeNs slot = EmuPipelineSlot(emu_rx_ready_, host);
-    auto process = [this, host, pkt = std::move(pkt)]() mutable {
-      ProcessPacket(host, std::move(pkt));
-    };
-    static_assert(InlineEvent::kFitsInline<decltype(process)>,
-                  "host receive closure must stay allocation-free");
-    net_->sim().Schedule(slot - net_->sim().now(), std::move(process));
-  } else {
-    ProcessPacket(host, std::move(pkt));
-  }
-}
-
-void RdmaTransport::ProcessPacket(NodeId host, Packet pkt) {
   switch (pkt.type) {
     case PacketType::kData:
       HandleData(host, pkt);
@@ -663,6 +605,7 @@ void RdmaTransport::HandleNack(const Packet& pkt) {
     s.rtx_epoch_time = now;
     s.retransmits.fetch_add(s.next_seq - pkt.seq, std::memory_order_relaxed);
     retransmitted_packets_.fetch_add(s.next_seq - pkt.seq, std::memory_order_relaxed);
+    TransportMetrics::Get().retransmits->Add(s.next_seq - pkt.seq);
     s.next_seq = pkt.seq;
   }
   PaceNext(pkt.flow_id);

@@ -78,23 +78,10 @@ struct TransportConfig {
   // flowlet/per-packet steering and lossy long-haul links without the
   // throughput collapse Go-Back-N suffers on reordering.
   ReliabilityMode reliability = ReliabilityMode::kGoBackN;
-  // Deprecated alias for reliability == kIrn (the original bench hack's
-  // flag); honored so existing configs and sweep axes keep working.
-  bool ooo_tolerance = false;
   // Receiver OOO window / sender retransmit window, in segments (rounded up
   // to a power of two). Segments beyond the window are dropped and re-sent
   // on a later NACK or RTO.
   int ooo_window_segments = 2048;
-
-  // "Emulation mode" reproduces the paper's SoftRoCE/Mininet testbed: extra
-  // per-packet host-stack latency with jitter (a pipelined processing stage)
-  // and an optional software rate cap. The default cap is high enough that
-  // the emulated and simulated runs model the same network capacity, which
-  // is the premise of the paper's Fig. 6 fidelity comparison.
-  bool emulation_mode = false;
-  TimeNs emu_overhead_mean = Microseconds(10);
-  TimeNs emu_overhead_stddev = Microseconds(3);
-  int64_t emu_rate_cap_bps = Gbps(100);
 };
 
 class RdmaTransport {
@@ -199,7 +186,6 @@ class RdmaTransport {
   // ownership of its INT side-buffer handle (transferring it onto the ACK or
   // releasing it back to the network's pool).
   void OnHostReceive(NodeId host, Packet pkt);
-  void ProcessPacket(NodeId host, Packet pkt);
   void HandleData(NodeId host, Packet& pkt);
   void HandleAck(Packet& pkt);
   void HandleNack(const Packet& pkt);
@@ -227,20 +213,12 @@ class RdmaTransport {
   void FinishSender(Sender& s);
 
   int64_t LineRate(NodeId host) const;
-  TimeNs HostOverhead(NodeId host);
-  // Emulation-mode host stacks are FIFO pipelines: jittered per-packet
-  // processing must never reorder packets within one host, or the jitter
-  // itself would trigger spurious Go-Back-N. Returns the absolute time the
-  // packet clears the stage and advances the per-host cursor.
-  TimeNs EmuPipelineSlot(std::unordered_map<NodeId, TimeNs>& ready, NodeId host);
 
   Network* net_;
   TransportConfig config_;
   CompletionFn on_complete_;
   PathOracle oracle_;
 
-  std::unordered_map<NodeId, TimeNs> emu_tx_ready_;
-  std::unordered_map<NodeId, TimeNs> emu_rx_ready_;
   // Pre-registered at ScheduleFlow, never erased at runtime (flows flip
   // started/done/finished flags instead), so shard threads only ever find().
   std::unordered_map<FlowId, Sender> senders_;

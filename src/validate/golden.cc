@@ -52,7 +52,7 @@ const std::vector<GoldenScenario>& GoldenScenarios() {
       // congestion-control and OoO machinery actually engages.
       {"testbed8-lcmp-pfc", std::string(kBaseline) + " policy=lcmp pfc=true workload=fbhdp"},
       {"testbed8-lcmp-ooo-hpcc",
-       std::string(kBaseline) + " policy=lcmp ooo_tolerance=true cc=hpcc load=0.8"},
+       std::string(kBaseline) + " policy=lcmp reliability=irn cc=hpcc load=0.8"},
       {"testbed8-lcmp-timely-ali",
        std::string(kBaseline) + " policy=lcmp cc=timely workload=alistorage load=0.5"},
       // Segment-split CC + windowed sender (DESIGN.md §14): the incast /

@@ -17,7 +17,7 @@ FlagSet MakeFlags() {
   f.Define("load", "0.3", "load")
       .Define("flows", "500", "count")
       .Define("policy", "lcmp", "policy")
-      .Define("emulation", "false", "emu");
+      .Define("monitor", "false", "monitor");
   return f;
 }
 
@@ -28,7 +28,7 @@ TEST(FlagsTest, DefaultsApply) {
   EXPECT_DOUBLE_EQ(f.GetDouble("load"), 0.3);
   EXPECT_EQ(f.GetInt("flows"), 500);
   EXPECT_EQ(f.GetString("policy"), "lcmp");
-  EXPECT_FALSE(f.GetBool("emulation"));
+  EXPECT_FALSE(f.GetBool("monitor"));
 }
 
 TEST(FlagsTest, EqualsSyntax) {
@@ -50,9 +50,9 @@ TEST(FlagsTest, SpaceSyntax) {
 
 TEST(FlagsTest, BareBoolean) {
   FlagSet f = MakeFlags();
-  const char* argv[] = {"prog", "--emulation"};
+  const char* argv[] = {"prog", "--monitor"};
   ASSERT_TRUE(f.Parse(2, argv));
-  EXPECT_TRUE(f.GetBool("emulation"));
+  EXPECT_TRUE(f.GetBool("monitor"));
 }
 
 TEST(FlagsTest, UnknownFlagRejected) {

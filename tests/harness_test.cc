@@ -5,7 +5,9 @@
 #include <sstream>
 
 #include "harness/experiment.h"
+#include "harness/runner.h"
 #include "harness/scenario.h"
+#include "harness/sweep.h"
 #include "harness/table.h"
 
 namespace lcmp {
@@ -78,14 +80,18 @@ TEST(HarnessTest, SweepRunsAllCells) {
   base.num_flows = 30;
   base.hosts_per_dc = 2;
   base.seed = 4;
-  // The deprecated shim must keep working (and keep its cell order) until the
-  // last external caller migrates to SweepSpec + RunSweep.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  const auto cells =
-      RunPolicyLoadSweep(base, {PolicyKind::kEcmp, PolicyKind::kLcmp}, {0.2, 0.4});
-#pragma GCC diagnostic pop
+  SweepSpec spec(base);
+  spec.Loads({0.2, 0.4}).Policies({PolicyKind::kEcmp, PolicyKind::kLcmp});
+  std::vector<RunOutcome> outcomes;
+  std::string error;
+  ASSERT_TRUE(RunSweep(spec, SweepRunnerOptions{}, &outcomes, &error)) << error;
+  const auto cells = ToSweepCells(outcomes);
   ASSERT_EQ(cells.size(), 4u);
+  // Cells keep the load-major, policy-minor order the tables print in.
+  EXPECT_EQ(cells[0].policy, PolicyKind::kEcmp);
+  EXPECT_DOUBLE_EQ(cells[0].load, 0.2);
+  EXPECT_EQ(cells[3].policy, PolicyKind::kLcmp);
+  EXPECT_DOUBLE_EQ(cells[3].load, 0.4);
   for (const SweepCell& cell : cells) {
     EXPECT_EQ(cell.result.flows_completed, 30);
   }
@@ -120,6 +126,71 @@ TEST(HarnessTest, LinkFlapDuringExperimentStillCompletes) {
   net.sim().Schedule(Milliseconds(30), [&] { net.SetLinkUp(links[0].link_idx, true); });
   net.sim().Run(Seconds(30));
   EXPECT_EQ(recorder.completed(), 40);
+}
+
+// ---- ValidateExperimentConfig: one case per documented domain ----
+
+// Applies `value` to `field` on a default config and reports whether the
+// result validates; a rejection must name the field.
+bool Validates(const std::string& field, const std::string& value) {
+  ExperimentConfig c;
+  std::string error;
+  EXPECT_TRUE(ApplyConfigField(&c, field, value, &error)) << error;
+  if (ValidateExperimentConfig(c, &error)) {
+    return true;
+  }
+  EXPECT_NE(error.find("'" + field + "'"), std::string::npos) << error;
+  return false;
+}
+
+TEST(ExperimentConfigValidationTest, DefaultsAreValid) {
+  std::string error;
+  EXPECT_TRUE(ValidateExperimentConfig(ExperimentConfig{}, &error)) << error;
+}
+
+TEST(ExperimentConfigValidationTest, FlowsMustBePositive) {
+  EXPECT_FALSE(Validates("flows", "0"));
+  EXPECT_FALSE(Validates("flows", "-3"));
+  EXPECT_TRUE(Validates("flows", "1"));
+}
+
+TEST(ExperimentConfigValidationTest, LoadInHalfOpenUnitInterval) {
+  EXPECT_FALSE(Validates("load", "0"));
+  EXPECT_FALSE(Validates("load", "5"));
+  EXPECT_FALSE(Validates("load", "nan"));
+  EXPECT_TRUE(Validates("load", "1"));
+  EXPECT_TRUE(Validates("load", "0.01"));
+}
+
+TEST(ExperimentConfigValidationTest, MixIntraBelowOne) {
+  EXPECT_FALSE(Validates("mix_intra", "1"));
+  EXPECT_FALSE(Validates("mix_intra", "-0.1"));
+  EXPECT_TRUE(Validates("mix_intra", "0"));
+  EXPECT_TRUE(Validates("mix_intra", "0.99"));
+}
+
+TEST(ExperimentConfigValidationTest, DciLossRateBelowOne) {
+  EXPECT_FALSE(Validates("dci_loss_rate", "1.5"));
+  EXPECT_FALSE(Validates("dci_loss_rate", "1"));
+  EXPECT_FALSE(Validates("dci_loss_rate", "-0.001"));
+  EXPECT_TRUE(Validates("dci_loss_rate", "0"));
+  EXPECT_TRUE(Validates("dci_loss_rate", "0.5"));
+}
+
+TEST(ExperimentConfigValidationTest, MaxInflightBytesNonNegative) {
+  EXPECT_FALSE(Validates("max_inflight_bytes", "-5"));
+  EXPECT_TRUE(Validates("max_inflight_bytes", "0"));
+  EXPECT_TRUE(Validates("max_inflight_bytes", "4194304"));
+}
+
+TEST(ExperimentConfigValidationTest, ExpandSweepRejectsOutOfRangeRun) {
+  SweepSpec spec;
+  spec.Loads({0.5, 2.0});
+  std::vector<SweepRun> runs;
+  std::string error;
+  EXPECT_FALSE(ExpandSweep(spec, &runs, &error));
+  EXPECT_NE(error.find("'load'"), std::string::npos) << error;
+  EXPECT_NE(error.find("load=2"), std::string::npos) << error;  // names the run
 }
 
 TEST(TableTest, AlignsColumns) {

@@ -5,7 +5,6 @@
 
 #include "harness/experiment.h"
 #include "harness/scenario.h"
-#include "stats/pearson.h"
 
 namespace lcmp {
 namespace {
@@ -115,32 +114,6 @@ TEST(IntegrationTest, Bso13AllToAllCompletes) {
   // The paper's sparsity statistic: a minority of pairs are multipath.
   EXPECT_GT(r.multipath_pair_fraction, 0.1);
   EXPECT_LT(r.multipath_pair_fraction, 0.55);
-}
-
-TEST(IntegrationTest, EmulationModeCorrelatesWithSimulation) {
-  // Fig. 6 methodology: per-size-bucket slowdowns from emulation-mode and
-  // simulation-mode runs must correlate strongly.
-  ExperimentConfig c = SmallConfig();
-  c.num_flows = 200;
-  c.policy = PolicyKind::kLcmp;
-  const ExperimentResult sim_r = RunExperiment(c);
-  c.emulation_mode = true;
-  const ExperimentResult emu_r = RunExperiment(c);
-  // Correlate (p50, p99) slowdown points across size buckets, mirroring the
-  // paper's Fig. 6 scatter of testbed-vs-NS-3 slowdowns.
-  std::vector<double> x, y;
-  for (const auto& sb : sim_r.buckets) {
-    for (const auto& eb : emu_r.buckets) {
-      if (sb.size_hi == eb.size_hi && sb.stats.count >= 3 && eb.stats.count >= 3) {
-        x.push_back(sb.stats.p50);
-        y.push_back(eb.stats.p50);
-        x.push_back(sb.stats.p99);
-        y.push_back(eb.stats.p99);
-      }
-    }
-  }
-  ASSERT_GE(x.size(), 8u);
-  EXPECT_GT(PearsonCorrelation(x, y), 0.9);
 }
 
 TEST(IntegrationTest, AblationRmAlphaHurtsMedians) {

@@ -197,40 +197,19 @@ ExperimentConfig ShimBaseConfig() {
   return c;
 }
 
-// --cc=X and --cc-inter=X --cc-intra=X must produce the same spec, and the
-// uniform spec must drive the simulation bit-identically to the pre-registry
-// transport (whose digests the golden corpus pins) at any shard count.
-TEST(CcShimTest, LegacyFlagEqualsExplicitUniformSplit) {
-  for (const std::string& token : CcRegistry::Instance().Tokens()) {
-    SegmentCcSpec legacy;
-    std::string error;
-    ASSERT_TRUE(ApplyLegacyCcFlag(token, &legacy, &error)) << error;
-
-    SegmentCcSpec split;
-    ASSERT_TRUE(ParseCcToken(token, &split.inter, &error)) << error;
-    ASSERT_TRUE(ParseCcToken(token, &split.intra, &error)) << error;
-
-    EXPECT_EQ(legacy, split) << token;
-    EXPECT_TRUE(legacy.uniform());
-    EXPECT_EQ(legacy.Token(), token);
-  }
-}
-
+// The uniform spec must drive the simulation bit-identically to the
+// pre-registry transport (whose digests the golden corpus pins) at any shard
+// count.
 TEST(CcShimTest, UniformSpecDigestsMatchLegacyAcrossShardCounts) {
   for (const std::string& token : {std::string("dcqcn"), std::string("timely")}) {
-    ExperimentConfig legacy = ShimBaseConfig();
+    ExperimentConfig config = ShimBaseConfig();
     std::string error;
-    ASSERT_TRUE(ApplyLegacyCcFlag(token, &legacy.cc, &error)) << error;
-    const uint64_t legacy_digest = ExperimentDigest(RunExperiment(legacy));
+    ASSERT_TRUE(ParseCcToken(token, &config.cc.inter, &error)) << error;
+    ASSERT_TRUE(ParseCcToken(token, &config.cc.intra, &error)) << error;
+    const uint64_t sequential = ExperimentDigest(RunExperiment(config));
 
-    ExperimentConfig split = ShimBaseConfig();
-    ASSERT_TRUE(ParseCcToken(token, &split.cc.inter, &error)) << error;
-    ASSERT_TRUE(ParseCcToken(token, &split.cc.intra, &error)) << error;
-    EXPECT_EQ(ExperimentDigest(RunExperiment(split)), legacy_digest) << token;
-
-    split.shards = 4;
-    EXPECT_EQ(ExperimentDigest(RunExperiment(split)), legacy_digest)
-        << token << " at shards=4";
+    config.shards = 4;
+    EXPECT_EQ(ExperimentDigest(RunExperiment(config)), sequential) << token << " at shards=4";
   }
 }
 

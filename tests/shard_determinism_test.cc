@@ -336,41 +336,32 @@ TEST(LineageKeyOrdering, CrossQueueEqualTimestampTiesMatchSequentialOrder) {
 TEST(ShardFlagsTest, ValidatesBudgetAndUnsafeCombinations) {
   ShardOptions shard;
   SweepOptions sweep;
-  ObsOptions obs;
   std::string error;
 
   shard.shards = 0;
-  EXPECT_FALSE(ValidateShardOptions(shard, sweep, obs, false, 8, &error));
+  EXPECT_FALSE(ValidateShardOptions(shard, sweep, 8, &error));
 
-  // shards=1 is always fine, whatever else is set.
+  // shards=1 is always fine, whatever the budget.
   shard.shards = 1;
-  obs.trace = true;
-  EXPECT_TRUE(ValidateShardOptions(shard, sweep, obs, true, 1, &error));
-
-  // Tracing composes with sharding (per-lane rings merged by (time, key)
-  // at dump time); only emulation stays shard-unsafe.
-  shard.shards = 2;
-  EXPECT_TRUE(ValidateShardOptions(shard, sweep, obs, false, 8, &error));
-  obs.trace = false;
-  EXPECT_FALSE(ValidateShardOptions(shard, sweep, obs, true, 8, &error));
-  EXPECT_NE(error.find("emulation"), std::string::npos);
+  EXPECT_TRUE(ValidateShardOptions(shard, sweep, 1, &error));
 
   // Single run: S workers against the budget.
-  EXPECT_TRUE(ValidateShardOptions(shard, sweep, obs, false, 2, &error));
+  shard.shards = 2;
+  EXPECT_TRUE(ValidateShardOptions(shard, sweep, 2, &error));
   shard.shards = 4;
-  EXPECT_FALSE(ValidateShardOptions(shard, sweep, obs, false, 2, &error));
+  EXPECT_FALSE(ValidateShardOptions(shard, sweep, 2, &error));
   EXPECT_NE(error.find("oversubscribed"), std::string::npos);
 
   // Sweep: explicit jobs x shards must fit; --jobs=0 auto-sizes and passes.
   sweep.axes = "load=0.3,0.5";
   sweep.jobs = 4;
-  EXPECT_FALSE(ValidateShardOptions(shard, sweep, obs, false, 8, &error));
+  EXPECT_FALSE(ValidateShardOptions(shard, sweep, 8, &error));
   sweep.jobs = 2;
-  EXPECT_TRUE(ValidateShardOptions(shard, sweep, obs, false, 8, &error));
+  EXPECT_TRUE(ValidateShardOptions(shard, sweep, 8, &error));
   sweep.jobs = 0;
-  EXPECT_TRUE(ValidateShardOptions(shard, sweep, obs, false, 8, &error));
+  EXPECT_TRUE(ValidateShardOptions(shard, sweep, 8, &error));
   // Auto-sizing caps jobs, not shards: S alone must still fit the budget.
-  EXPECT_FALSE(ValidateShardOptions(shard, sweep, obs, false, 2, &error));
+  EXPECT_FALSE(ValidateShardOptions(shard, sweep, 2, &error));
   EXPECT_EQ(ResolveSweepJobs(sweep, shard, 8), 2);
   EXPECT_EQ(ResolveSweepJobs(sweep, shard, 2), 1);  // never below one worker
   sweep.jobs = 3;

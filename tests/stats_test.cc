@@ -1,14 +1,11 @@
 // Tests for the statistics pipeline: FCT recorder / slowdown math, size
-// buckets, DC-pair filters, link-utilization tracking and Pearson.
+// buckets, DC-pair filters and link-utilization tracking.
 #include <gtest/gtest.h>
-
-#include <vector>
 
 #include "routing/ecmp.h"
 #include "sim/network.h"
 #include "stats/fct_recorder.h"
 #include "stats/link_utilization.h"
-#include "stats/pearson.h"
 #include "topo/builders.h"
 
 namespace lcmp {
@@ -85,33 +82,6 @@ TEST(FctRecorderTest, WherePredicate) {
   const SlowdownStats big = rec.Where(
       [](const FctRecorder::Sample& s) { return s.slowdown > 5.0; });
   EXPECT_EQ(big.count, 5);
-}
-
-TEST(PearsonTest, PerfectCorrelation) {
-  const std::vector<double> x = {1, 2, 3, 4, 5};
-  const std::vector<double> y = {2, 4, 6, 8, 10};
-  EXPECT_NEAR(PearsonCorrelation(x, y), 1.0, 1e-12);
-}
-
-TEST(PearsonTest, PerfectAntiCorrelation) {
-  const std::vector<double> x = {1, 2, 3, 4};
-  const std::vector<double> y = {8, 6, 4, 2};
-  EXPECT_NEAR(PearsonCorrelation(x, y), -1.0, 1e-12);
-}
-
-TEST(PearsonTest, DegenerateInputs) {
-  const std::vector<double> x = {1, 2, 3};
-  const std::vector<double> flat = {5, 5, 5};
-  EXPECT_EQ(PearsonCorrelation(x, flat), 0.0);
-  EXPECT_EQ(PearsonCorrelation({}, {}), 0.0);
-  const std::vector<double> one = {1};
-  EXPECT_EQ(PearsonCorrelation(one, one), 0.0);
-}
-
-TEST(PearsonTest, MismatchedSizesReturnZero) {
-  const std::vector<double> x = {1, 2, 3};
-  const std::vector<double> y = {1, 2};
-  EXPECT_EQ(PearsonCorrelation(x, y), 0.0);
 }
 
 TEST(LinkUtilizationTest, MeasuresTransmittedFraction) {

@@ -26,8 +26,8 @@ TEST(FieldRegistryTest, AppliesAndReadsBackEveryKindOfField) {
   EXPECT_DOUBLE_EQ(c.load, 0.75);
   EXPECT_TRUE(ApplyConfigField(&c, "flows", "250", &error)) << error;
   EXPECT_EQ(c.num_flows, 250);
-  EXPECT_TRUE(ApplyConfigField(&c, "emulation", "true", &error)) << error;
-  EXPECT_TRUE(c.emulation_mode);
+  EXPECT_TRUE(ApplyConfigField(&c, "pfc", "true", &error)) << error;
+  EXPECT_TRUE(c.pfc_enabled);
   EXPECT_TRUE(ApplyConfigField(&c, "horizon_ms", "500", &error)) << error;
   EXPECT_EQ(c.horizon, Milliseconds(500));
   EXPECT_TRUE(ApplyConfigField(&c, "lcmp.alpha", "7", &error)) << error;
@@ -38,7 +38,7 @@ TEST(FieldRegistryTest, AppliesAndReadsBackEveryKindOfField) {
   // GetConfigField returns the exact encoding ApplyConfigField accepts.
   for (const std::string& field :
        {std::string("policy"), std::string("topo"), std::string("load"),
-        std::string("flows"), std::string("emulation"), std::string("horizon_ms"),
+        std::string("flows"), std::string("pfc"), std::string("horizon_ms"),
         std::string("lcmp.alpha"), std::string("lcmp.flow_idle_timeout_us")}) {
     std::string encoded;
     ASSERT_TRUE(GetConfigField(c, field, &encoded)) << field;
@@ -68,7 +68,7 @@ TEST(FieldRegistryTest, RejectsMalformedValuesNamingTheField) {
   EXPECT_NE(error.find("field 'flows'"), std::string::npos) << error;
   EXPECT_FALSE(ApplyConfigField(&c, "load", "fast", &error));
   EXPECT_NE(error.find("field 'load'"), std::string::npos) << error;
-  EXPECT_FALSE(ApplyConfigField(&c, "emulation", "maybe", &error));
+  EXPECT_FALSE(ApplyConfigField(&c, "pfc", "maybe", &error));
   EXPECT_NE(error.find("true|false"), std::string::npos) << error;
   EXPECT_FALSE(ApplyConfigField(&c, "seed", "-1", &error));
   EXPECT_NE(error.find("unsigned"), std::string::npos) << error;
@@ -111,7 +111,7 @@ TEST(SweepExpandTest, FirstAxisVariesSlowest) {
   std::string error;
   ASSERT_TRUE(ExpandSweep(spec, &runs, &error)) << error;
   ASSERT_EQ(runs.size(), 4u);
-  // Legacy RunPolicyLoadSweep order: load-major, policy-minor.
+  // Load-major, policy-minor.
   EXPECT_DOUBLE_EQ(runs[0].config.load, 0.2);
   EXPECT_EQ(runs[0].config.policy, PolicyKind::kEcmp);
   EXPECT_DOUBLE_EQ(runs[1].config.load, 0.2);

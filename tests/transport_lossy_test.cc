@@ -10,6 +10,7 @@
 
 #include "harness/experiment.h"
 #include "harness/runner.h"
+#include "obs/metrics.h"
 #include "stats/fct_recorder.h"
 #include "topo/builders.h"
 #include "transport/rdma_transport.h"
@@ -172,7 +173,13 @@ INSTANTIATE_TEST_SUITE_P(BothModes, LossyCompletionTest,
 TEST(LossyTransportTest, IrnRetransmitsFarLessThanGbn) {
   // The point of IRN: at equal wire loss a selective sender repairs holes
   // instead of re-blasting windows. Same seed, same loss process.
+  // Every retransmit path (GBN rewind, RTO, IRN selective) must count once in
+  // all three tallies: the registry counter, the transport total and the
+  // per-flow records.
   auto retransmits = [](ReliabilityMode mode) {
+    obs::MetricsRegistry& reg = obs::MetricsRegistry::Instance();
+    obs::SetMetricsEnabled(true);
+    reg.ResetValues();
     TransportConfig tcfg;
     tcfg.reliability = mode;
     tcfg.max_inflight_bytes = 512 * 1024;
@@ -181,7 +188,17 @@ TEST(LossyTransportTest, IrnRetransmitsFarLessThanGbn) {
         MakeFlow(1, h.graph.HostsInDc(0)[0], h.graph.HostsInDc(1)[0], 8'000'000));
     h.net.sim().Run(Seconds(120));
     EXPECT_EQ(h.records.size(), 1u);
-    return h.transport.retransmitted_packets();
+    int64_t per_flow = 0;
+    for (const FlowRecord& r : h.records) {
+      per_flow += r.retransmitted_packets;
+    }
+    const int64_t total = h.transport.retransmitted_packets();
+    EXPECT_EQ(reg.GetCounter("transport.retransmitted_packets")->Total(), total)
+        << ReliabilityModeToken(mode);
+    EXPECT_EQ(per_flow, total) << ReliabilityModeToken(mode);
+    obs::SetMetricsEnabled(false);
+    reg.ResetValues();
+    return total;
   };
   const int64_t gbn = retransmits(ReliabilityMode::kGoBackN);
   const int64_t irn = retransmits(ReliabilityMode::kIrn);

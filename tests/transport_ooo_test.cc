@@ -93,7 +93,7 @@ TEST(OooToleranceTest, SelectiveRetransmissionAbsorbsReordering) {
   // With OoO tolerance the same spraying completes with (near-)zero
   // retransmissions: reordered segments are buffered, holes fill naturally.
   TransportConfig tcfg;
-  tcfg.ooo_tolerance = true;
+  tcfg.reliability = ReliabilityMode::kIrn;
   Harness h(AsymmetricDumbbell(), SprayFactory(), tcfg);
   h.transport.StartFlow(MakeFlow(1, h.graph.HostsInDc(0)[0], h.graph.HostsInDc(1)[0],
                                  4'000'000));
@@ -107,7 +107,7 @@ TEST(OooToleranceTest, SelectiveRetransmissionAbsorbsReordering) {
 TEST(OooToleranceTest, OooFctBeatsGbnUnderSpraying) {
   auto run = [](bool ooo) {
     TransportConfig tcfg;
-    tcfg.ooo_tolerance = ooo;
+    tcfg.reliability = ooo ? ReliabilityMode::kIrn : ReliabilityMode::kGoBackN;
     Harness h(AsymmetricDumbbell(), SprayFactory(), tcfg);
     h.transport.StartFlow(MakeFlow(1, h.graph.HostsInDc(0)[0], h.graph.HostsInDc(1)[0],
                                    8'000'000));
@@ -127,7 +127,7 @@ TEST(OooToleranceTest, RecoversFromRealLossViaSelectiveRetransmit) {
   const NodeId dci1 = BuildDcFabric(g, 1, fo);
   g.AddLink(dci0, dci1, Gbps(1), Milliseconds(1), /*buffer=*/20'000);
   TransportConfig tcfg;
-  tcfg.ooo_tolerance = true;
+  tcfg.reliability = ReliabilityMode::kIrn;
   Harness h(std::move(g), SprayFactory(), tcfg);
   h.transport.StartFlow(MakeFlow(1, h.graph.HostsInDc(0)[0], h.graph.HostsInDc(1)[0],
                                  2'000'000));
@@ -142,7 +142,7 @@ TEST(OooToleranceTest, FlowletGapRestartsDecisionWithoutReorderDamage) {
   LcmpConfig lcmp_config;
   lcmp_config.flow_idle_timeout = Microseconds(200);  // flowlet gap
   TransportConfig tcfg;
-  tcfg.ooo_tolerance = true;
+  tcfg.reliability = ReliabilityMode::kIrn;
   Harness h(AsymmetricDumbbell(), MakeLcmpFactory(lcmp_config), tcfg);
   for (FlowId i = 1; i <= 10; ++i) {
     FlowSpec f = MakeFlow(i, h.graph.HostsInDc(0)[0], h.graph.HostsInDc(1)[0], 1'000'000);
@@ -157,7 +157,7 @@ TEST(OooToleranceTest, InOrderTrafficUnaffected) {
   // Single-path topology: OoO mode must behave identically to the default.
   const LinearTopo t = BuildLinear();
   TransportConfig tcfg;
-  tcfg.ooo_tolerance = true;
+  tcfg.reliability = ReliabilityMode::kIrn;
   Harness h(t.graph, nullptr, tcfg);
   h.transport.StartFlow(MakeFlow(1, t.src_host, t.dst_host, 1'000'000));
   h.net.sim().Run();

@@ -160,24 +160,6 @@ TEST(TransportTest, EcnMarksGenerateCnps) {
   (void)g;
 }
 
-TEST(TransportTest, EmulationModeAddsLatency) {
-  const LinearTopo t = BuildLinear();
-  TransportConfig plain;
-  TransportConfig emu;
-  emu.emulation_mode = true;
-  Harness fast(t.graph, plain);
-  Harness slow(t.graph, emu);
-  fast.transport.StartFlow(MakeFlow(1, t.src_host, t.dst_host, 100'000));
-  slow.transport.StartFlow(MakeFlow(1, t.src_host, t.dst_host, 100'000));
-  fast.net.sim().Run();
-  slow.net.sim().Run();
-  ASSERT_EQ(fast.records.size(), 1u);
-  ASSERT_EQ(slow.records.size(), 1u);
-  const TimeNs fct_fast = fast.records[0].complete_time - fast.records[0].start_time;
-  const TimeNs fct_slow = slow.records[0].complete_time - slow.records[0].start_time;
-  EXPECT_GT(fct_slow, fct_fast);
-}
-
 class AllCcTest : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(AllCcTest, CompletesUnderEveryCc) {

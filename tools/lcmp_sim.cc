@@ -3,7 +3,10 @@
 // table, and optionally dumps CSVs for external analysis/plotting.
 //
 //   lcmp_sim --topo=testbed8 --policy=lcmp --workload=websearch
-//            --cc=dcqcn --load=0.5 --flows=500 --seed=7 --csv-prefix=out/run1
+//            --cc-inter=dcqcn --load=0.5 --flows=500 --seed=7 --csv-prefix=out/run1
+//
+// A run (or any run of a sweep) that leaves a flow unfinished exits 1; an
+// out-of-range config value exits 2 before anything runs.
 //
 // Sweep mode: --sweep-spec=<file.json> and/or --sweep-axes="..." switch to
 // the parallel sweep engine. The single-run flags above still apply — they
@@ -38,14 +41,9 @@ bool ParseEnums(const FlagSet& flags, ExperimentConfig& config, std::string& err
          ApplyConfigField(&config, "fec", flags.GetString("fec"), &error);
 }
 
-// Segment-split CC selection. All three flags default to "" so "not given"
-// is distinguishable: the deprecated --cc shim applies first (setting both
-// segments), then --cc-inter/--cc-intra override their segment.
+// Segment-split CC selection. Both flags default to "" so "not given" is
+// distinguishable: each one given overrides its segment.
 bool ApplyCcFlags(const FlagSet& flags, ExperimentConfig& config, std::string& error) {
-  const std::string legacy = flags.GetString("cc");
-  if (!legacy.empty() && !ApplyLegacyCcFlag(legacy, &config.cc, &error)) {
-    return false;
-  }
   const std::string inter = flags.GetString("cc-inter");
   if (!inter.empty() && !ParseCcToken(inter, &config.cc.inter, &error)) {
     return false;
@@ -153,6 +151,15 @@ int RunSweepMode(const ExperimentConfig& base, const SweepOptions& sweep_opts,
     }
     std::printf("wrote %s\n", path.c_str());
   }
+  size_t incomplete = 0;
+  for (const RunOutcome& o : outcomes) {
+    incomplete += o.result.flows_completed < o.result.flows_requested ? 1 : 0;
+  }
+  if (incomplete > 0) {
+    std::fprintf(stderr, "incomplete sweep: %zu of %zu runs left flows unfinished\n", incomplete,
+                 outcomes.size());
+    return 1;
+  }
   return 0;
 }
 
@@ -178,7 +185,6 @@ int main(int argc, char** argv) {
       .Define("flow-cache-auto", "false", "right-size LCMP flow caches to the flow count")
       .Define("policy", "lcmp", "routing policy: ecmp | wcmp | ucmp | redte | lcmp")
       .Define("workload", "websearch", "flow-size mix: websearch | fbhdp | alistorage")
-      .Define("cc", "", "DEPRECATED: sets both --cc-inter and --cc-intra")
       .Define("cc-inter", "", "long-haul segment CC: dcqcn | hpcc | timely | dctcp | lcp")
       .Define("cc-intra", "", "intra-DC segment CC: dcqcn | hpcc | timely | dctcp | lcp")
       .Define("incast-fanin", "0", "N-to-1 incast senders at the last DC (0 = off)")
@@ -197,7 +203,6 @@ int main(int argc, char** argv) {
       .Define("flows", "500", "number of flows to generate")
       .Define("hosts-per-dc", "8", "hosts per datacenter")
       .Define("seed", "1", "PRNG seed (runs are deterministic per seed)")
-      .Define("emulation", "false", "SoftRoCE-style host emulation mode")
       .Define("alpha", "3", "LCMP global fusion weight for C_path")
       .Define("beta", "1", "LCMP global fusion weight for C_cong")
       .Define("w-dl", "3", "LCMP path-quality delay weight")
@@ -248,7 +253,6 @@ int main(int argc, char** argv) {
   config.path_layers = static_cast<int>(flags.GetInt("path-layers"));
   config.layer_drop_permille = static_cast<int>(flags.GetInt("layer-drop-permille"));
   config.lcmp.flow_cache_auto = flags.GetBool("flow-cache-auto");
-  config.emulation_mode = flags.GetBool("emulation");
   config.lcmp.alpha = static_cast<int>(flags.GetInt("alpha"));
   config.lcmp.beta = static_cast<int>(flags.GetInt("beta"));
   config.lcmp.w_dl = static_cast<int>(flags.GetInt("w-dl"));
@@ -278,8 +282,7 @@ int main(int argc, char** argv) {
     return 2;
   }
   const ShardOptions shard_opts = GetShardOptions(flags);
-  if (!ValidateShardOptions(shard_opts, sweep_opts, obs_opts, config.emulation_mode,
-                            DefaultJobs(), &error)) {
+  if (!ValidateShardOptions(shard_opts, sweep_opts, DefaultJobs(), &error)) {
     std::fprintf(stderr, "%s\n", error.c_str());
     return 2;
   }
@@ -304,7 +307,8 @@ int main(int argc, char** argv) {
     return status;
   }
 
-  if (!BuildFaultPlan(fault_opts, BuildTopology(config), &config.fault_plan, &error)) {
+  if (!ValidateExperimentConfig(config, &error) ||
+      !BuildFaultPlan(fault_opts, BuildTopology(config), &config.fault_plan, &error)) {
     std::fprintf(stderr, "%s\n", error.c_str());
     return 2;
   }
@@ -363,5 +367,10 @@ int main(int argc, char** argv) {
     std::printf("wrote %s_{flows,links,buckets}.csv\n", prefix.c_str());
   }
   FinalizeObs(obs_opts, result.sim_end_time);
+  if (result.flows_completed < result.flows_requested) {
+    std::fprintf(stderr, "incomplete run: %d of %d flows unfinished\n",
+                 result.flows_requested - result.flows_completed, result.flows_requested);
+    return 1;
+  }
   return 0;
 }
